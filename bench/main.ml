@@ -16,9 +16,9 @@
    Bechamel ns/run per algorithm, the worker count, and a headline CCT
    comparison across the schemes.
 
-   [guard] recomputes the deterministic sections (headline CCTs, the
-   Quick failover and refinement tables) plus a jobs=1 vs jobs=4 sweep
-   and compares them against the committed BENCH.json: any numeric
+   [guard] recomputes the guarded sections of the [sections] table
+   plus a jobs=1 vs jobs=4 sweep and compares them against the
+   committed BENCH.json: any numeric
    drift means a simulation-behaviour change and exits non-zero.  It
    writes nothing. *)
 
@@ -122,14 +122,6 @@ let micro_tests () =
            let prios = Lazy.force heap_priorities in
            Array.iter (fun p -> Peel_util.Pairing_heap.push h p ()) prios;
            while Peel_util.Pairing_heap.pop h <> None do
-             ()
-           done));
-    Test.make ~name:"calqueue_push_pop_10k"
-      (Staged.stage (fun () ->
-           let c = Peel_util.Calendar_queue.create () in
-           let prios = Lazy.force heap_priorities in
-           Array.iter (fun p -> Peel_util.Calendar_queue.push c p ()) prios;
-           while Peel_util.Calendar_queue.pop c <> None do
              ()
            done));
     Test.make ~name:"engine_10k_events_trace_off"
@@ -247,9 +239,41 @@ let baseline_wall_for baseline ~mode name =
                 entries)
       | _ -> None)
 
-let write_bench_json ~mode ~baseline ~exp_times ~micro ~headline ~failover
-    ~refinement ~compile ~scale ~scale_speedup ~service ~service_slo
-    ~serve_scale ~serve_scale_slo ~zoo ~total =
+(* Every record section of BENCH.json, in document order: its name,
+   how to compute it (always at Quick scale, whatever experiments ran),
+   and whether [guard] recomputes and diffs it.  The writer emits every
+   row and the guard checks every guarded row, so a guarded section can
+   never be missing from what the writer produces. *)
+let sections : (string * (unit -> Json.t) * bool) list =
+  [
+    ("headline_cct", (fun () -> headline_json (headline_ccts ())), true);
+    ("failover_degradation", (fun () -> Exp_failover.rows_json Common.Quick), true);
+    ("refinement", (fun () -> Exp_refine.rows_json Common.Quick), true);
+    ("compile", (fun () -> Exp_compile.rows_json Common.Quick), true);
+    (* The scale rows come off the sharded engine, whose results are
+       jobs-invariant — so this section both guards E19 against drift
+       and doubles as a determinism gate for the parallel DES.  The
+       machine-dependent "scale_speedup" section is NOT guarded. *)
+    ("scale", (fun () -> Exp_scale.rows_json Common.Quick), true);
+    ("scale_speedup", (fun () -> Exp_scale.speedup_json Common.Quick), false);
+    (* The service rows fold delta re-peeling, sharded compiles and
+       TCAM admission into one fingerprinted record; the wall-clock
+       "service_slo" section is NOT guarded. *)
+    ("service", (fun () -> Exp_service.rows_json Common.Quick), true);
+    ("service_slo", (fun () -> Exp_service.slo_json Common.Quick), false);
+    (* The scale rows pin the arena-backed service's counters and all
+       three replay fingerprints (jobs=1 / jobs=4 / cache-off) at the
+       10^6-group cell; the wall-clock "serve_scale_slo" section —
+       where the reference baseline runs — is NOT guarded. *)
+    ("serve_scale", (fun () -> Exp_serve_scale.rows_json Common.Quick), true);
+    ("serve_scale_slo", (fun () -> Exp_serve_scale.slo_json Common.Quick), false);
+    (* The zoo record folds the approximation ratios, the port-set
+       rule accounting and the expander reconfiguration runs into one
+       seeded, jobs-invariant object. *)
+    ("zoo", (fun () -> Exp_zoo.rows_json Common.Quick), true);
+  ]
+
+let write_bench_json ~mode ~baseline ~exp_times ~micro ~records ~total =
   let opt_num = function Some x -> Json.num x | None -> Json.Null in
   let experiment_entry (name, wall) =
     let speedup =
@@ -276,19 +300,9 @@ let write_bench_json ~mode ~baseline ~exp_times ~micro ~headline ~failover
          ("experiments", Json.Arr (List.map experiment_entry exp_times));
          ( "micro_ns_per_run",
            Json.Obj (List.map (fun (name, ns) -> (name, opt_num ns)) micro) );
-         ("headline_cct", headline_json headline);
-         ("failover_degradation", failover);
-         ("refinement", refinement);
-         ("compile", compile);
-         ("scale", scale);
-         ("scale_speedup", scale_speedup);
-         ("service", service);
-         ("service_slo", service_slo);
-         ("serve_scale", serve_scale);
-         ("serve_scale_slo", serve_scale_slo);
-         ("zoo", zoo);
-         ("total_wall_s", Json.num total);
        ]
+      @ records
+      @ [ ("total_wall_s", Json.num total) ]
       @
       match baseline_total with
       | Some t -> [ ("baseline_total_wall_s", Json.num t) ]
@@ -381,65 +395,15 @@ let run_guard () =
       exit 2
   | Some doc ->
       Printf.printf "bench guard: recomputing deterministic sections\n";
-      let headline =
-        guard_section "headline_cct"
-          (Json.member "headline_cct" doc)
-          (headline_json (headline_ccts ()))
+      let drifted =
+        List.fold_left
+          (fun n (name, compute, guarded) ->
+            if guarded then
+              n + guard_section name (Json.member name doc) (compute ())
+            else n)
+          0 sections
       in
-      let failover =
-        guard_section "failover_degradation"
-          (Json.member "failover_degradation" doc)
-          (Exp_failover.rows_json Common.Quick)
-      in
-      let refinement =
-        guard_section "refinement"
-          (Json.member "refinement" doc)
-          (Exp_refine.rows_json Common.Quick)
-      in
-      let compile =
-        guard_section "compile"
-          (Json.member "compile" doc)
-          (Exp_compile.rows_json Common.Quick)
-      in
-      (* The scale rows come off the sharded engine, whose results are
-         jobs-invariant — so this section both guards E19 against drift
-         and doubles as a determinism gate for the parallel DES.  The
-         machine-dependent "scale_speedup" section is NOT guarded. *)
-      let scale =
-        guard_section "scale"
-          (Json.member "scale" doc)
-          (Exp_scale.rows_json Common.Quick)
-      in
-      (* The service rows fold delta re-peeling, sharded compiles and
-         TCAM admission into one fingerprinted record; the wall-clock
-         "service_slo" section is NOT guarded. *)
-      let service =
-        guard_section "service"
-          (Json.member "service" doc)
-          (Exp_service.rows_json Common.Quick)
-      in
-      (* The scale rows pin the arena-backed service's counters and all
-         three replay fingerprints (jobs=1 / jobs=4 / cache-off) at the
-         10^6-group cell; the wall-clock "serve_scale_slo" section —
-         where the reference baseline runs — is NOT guarded. *)
-      let serve_scale =
-        guard_section "serve_scale"
-          (Json.member "serve_scale" doc)
-          (Exp_serve_scale.rows_json Common.Quick)
-      in
-      (* The zoo record folds the approximation ratios, the port-set
-         rule accounting and the expander reconfiguration runs into one
-         seeded, jobs-invariant object. *)
-      let zoo =
-        guard_section "zoo"
-          (Json.member "zoo" doc)
-          (Exp_zoo.rows_json Common.Quick)
-      in
-      let failures =
-        headline + failover + refinement + compile + scale + service
-        + serve_scale + zoo
-        + guard_jobs_determinism ()
-      in
+      let failures = drifted + guard_jobs_determinism () in
       if failures > 0 then begin
         Printf.printf
           "bench guard: %d section(s) drifted from the committed BENCH.json\n"
@@ -506,22 +470,8 @@ let () =
     let micro =
       if run_all || List.mem "micro" selections then run_micro () else []
     in
-    let headline = headline_ccts () in
-    (* Always at Quick scale: a deterministic CCT-degradation record for
-       PEEL and the baselines, regardless of which experiments ran. *)
-    let failover = Exp_failover.rows_json Common.Quick in
-    let refinement = Exp_refine.rows_json Common.Quick in
-    let compile = Exp_compile.rows_json Common.Quick in
-    let scale = Exp_scale.rows_json Common.Quick in
-    let scale_speedup = Exp_scale.speedup_json Common.Quick in
-    let service = Exp_service.rows_json Common.Quick in
-    let service_slo = Exp_service.slo_json Common.Quick in
-    let serve_scale = Exp_serve_scale.rows_json Common.Quick in
-    let serve_scale_slo = Exp_serve_scale.slo_json Common.Quick in
-    let zoo = Exp_zoo.rows_json Common.Quick in
+    let records = List.map (fun (name, compute, _) -> (name, compute ())) sections in
     let total = Unix.gettimeofday () -. t0 in
-    write_bench_json ~mode ~baseline ~exp_times ~micro ~headline ~failover
-      ~refinement ~compile ~scale ~scale_speedup ~service ~service_slo
-      ~serve_scale ~serve_scale_slo ~zoo ~total;
+    write_bench_json ~mode ~baseline ~exp_times ~micro ~records ~total;
     Printf.printf "\ntotal wall time: %.1f s (BENCH.json written)\n" total
   end

@@ -59,6 +59,59 @@ let test_engine_until () =
   Engine.run e;
   Alcotest.(check int) "drained" 2 !hits
 
+(* NaN compares false against everything, so a plain [at < now] guard
+   would let it in and the heap would then pop it out of order. *)
+let test_engine_nan_rejected () =
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iter
+    (fun at ->
+      try Engine.schedule e at (fun () -> log := at :: !log)
+      with Invalid_argument _ -> log := -1.0 :: !log)
+    [ 3.0; nan; 1.0; 2.0; 0.5 ];
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "nan rejected, then time order"
+    [ -1.0; 0.5; 1.0; 2.0; 3.0 ] (List.rev !log);
+  Alcotest.(check bool) "schedule_in nan raises" true
+    (try Engine.schedule_in e nan ignore; false with Invalid_argument _ -> true)
+
+(* 500 events on a 1/32 s grid, some scheduling a child 1/32 s later
+   (landing exactly on other events' times) or at the same instant.
+   The oracle keeps pending events in scheduling order and always runs
+   the head of their stable sort by time. *)
+type ev = Top of int | Later of int | Now of int
+
+let test_engine_nested_ties_model () =
+  let step = 1.0 /. 32.0 in
+  let rng = Peel_util.Rng.create 7 in
+  let tops =
+    List.init 500 (fun i -> (float_of_int (Peel_util.Rng.int rng 32) *. step, Top i))
+  in
+  let children (at, ev) =
+    match ev with
+    | Top i when i land 3 = 0 -> [ (at +. step, Later i) ]
+    | Top i when i land 7 = 1 -> [ (at, Now i) ]
+    | _ -> []
+  in
+  let e = Engine.create () in
+  let log = ref [] in
+  let rec add (at, ev) =
+    Engine.schedule e at (fun () ->
+        log := (at, ev) :: !log;
+        List.iter add (children (at, ev)))
+  in
+  List.iter add tops;
+  Engine.run e;
+  let by_time (a, _) (b, _) = Float.compare a b in
+  let rec model pending acc =
+    match List.stable_sort by_time pending with
+    | [] -> List.rev acc
+    | x :: rest -> model (rest @ children x) (x :: acc)
+  in
+  let want = model tops [] in
+  Alcotest.(check int) "event count" (List.length want) (List.length !log);
+  Alcotest.(check bool) "model order" true (want = List.rev !log)
+
 (* ------------------------------------------------------------------ *)
 (* Link_state                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -428,6 +481,9 @@ let () =
           Alcotest.test_case "cascading" `Quick test_engine_cascading;
           Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
           Alcotest.test_case "until" `Quick test_engine_until;
+          Alcotest.test_case "nan rejected" `Quick test_engine_nan_rejected;
+          Alcotest.test_case "nested ties match model" `Quick
+            test_engine_nested_ties_model;
         ] );
       ( "link_state",
         [

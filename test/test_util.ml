@@ -256,19 +256,40 @@ let test_heap_clear () =
   Pairing_heap.clear h;
   Alcotest.(check bool) "cleared" true (Pairing_heap.is_empty h)
 
+(* Interleaved pushes (heavily duplicated priorities) and pops against
+   a model that keeps the pending entries in insertion order and pops
+   the head of their stable sort by priority, i.e. the minimum by
+   (priority, insertion index). *)
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order"
-    QCheck.(list (float_range 0.0 1e6))
-    (fun xs ->
+    QCheck.(list (option (int_bound 9)))
+    (fun ops ->
       let h = Pairing_heap.create () in
-      List.iter (fun x -> Pairing_heap.push h x x) xs;
+      let by_prio (p, _) (q, _) = Float.compare p q in
+      let model_pop pending =
+        match List.stable_sort by_prio pending with
+        | [] -> (None, [])
+        | ((_, i) as x) :: _ ->
+            (Some x, List.filter (fun (_, j) -> j <> i) pending)
+      in
+      let step (pending, ok) (i, op) =
+        match op with
+        | Some p ->
+            Pairing_heap.push h (float_of_int p) i;
+            (pending @ [ (float_of_int p, i) ], ok)
+        | None ->
+            let want, pending = model_pop pending in
+            (pending, ok && Pairing_heap.pop h = want)
+      in
+      let pending, ok =
+        List.fold_left step ([], true) (List.mapi (fun i op -> (i, op)) ops)
+      in
       let rec drain acc =
         match Pairing_heap.pop h with
         | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
+        | Some x -> drain (x :: acc)
       in
-      let drained = drain [] in
-      drained = List.sort compare xs)
+      ok && drain [] = List.stable_sort by_prio pending)
 
 let test_heap_tiebreak_at_scale () =
   (* 1e5 equal-priority entries must drain in exact insertion order:
