@@ -4,12 +4,11 @@ type t = {
   fabric : Fabric.t;
   ecmp : bool;
   cache : (int * int, int list) Hashtbl.t;
-  dist_cache : (int, int array) Hashtbl.t;
-      (* Per-source BFS distance arrays.  A tree-shaped broadcast asks
-         for thousands of distinct (src, dst) pairs but only tens of
-         distinct sources; without this cache every path-cache miss
-         re-runs a full-fabric BFS, which dominates the simulator's
-         allocation and wall time at scale. *)
+  bfs_cache : (int, int array) Hashtbl.t;
+      (* BFS distance arrays keyed by the neighbour node they start
+         from; a source's distances are derived from them
+         ([Graph.dist_via_neighbours]), so sources sharing an NVSwitch or
+         ToR share BFSs. *)
 }
 
 let create ?(ecmp = true) fabric =
@@ -17,15 +16,15 @@ let create ?(ecmp = true) fabric =
     fabric;
     ecmp;
     cache = Hashtbl.create 4096;
-    dist_cache = Hashtbl.create 64;
+    bfs_cache = Hashtbl.create 64;
   }
 
-let dist_from t g src =
-  match Hashtbl.find_opt t.dist_cache src with
+let neighbour_bfs t g u =
+  match Hashtbl.find_opt t.bfs_cache u with
   | Some d -> d
   | None ->
-      let d = Graph.bfs_dist g src in
-      Hashtbl.replace t.dist_cache src d;
+      let d = Graph.bfs_dist g u in
+      Hashtbl.replace t.bfs_cache u d;
       d
 
 let same_server fabric a b =
@@ -44,7 +43,7 @@ let compute t a b =
     else begin
       (* Hash-diverse equal-cost path, as flow-level ECMP would pick;
          without ECMP every flow funnels onto the lowest-id path. *)
-      let dist = dist_from t g a in
+      let dist = Graph.dist_via_neighbours g a ~neighbour_dist:(neighbour_bfs t g) in
       let path =
         if t.ecmp then Graph.shortest_path_ecmp_from_dist g ~dist a b ~salt:0
         else Graph.shortest_path_from_dist g ~dist a b
@@ -68,4 +67,4 @@ let links t a b =
 
 let invalidate t =
   Hashtbl.reset t.cache;
-  Hashtbl.reset t.dist_cache
+  Hashtbl.reset t.bfs_cache

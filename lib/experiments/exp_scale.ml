@@ -56,9 +56,9 @@ let min_chunk_bytes flows =
   in
   if Float.is_finite m then m else 1.0
 
-(* Flatten with a shared path cache (the BFS over a k=32 graph dwarfs
-   the event loop, and the schemes query mostly the same sources), then
-   execute on 4 shards.  The sharded engine is bit-identical for every
+(* Flatten with a shared path cache (the schemes query mostly the same
+   sources, whose distances come from their neighbours' cached BFSs),
+   then execute on 4 shards.  The sharded engine is bit-identical for every
    jobs value, so these rows are deterministic no matter how the
    harness is parallelized — which is what lets the bench guard pin
    them. *)
@@ -108,8 +108,8 @@ let rows_json mode =
            ])
        (compute mode (ks_for mode)))
 
-(* Wall-clock of the event loop alone (flatten is hoisted out — its
-   path BFS dwarfs the engine and is identical at every jobs count) at
+(* Wall-clock of the event loop alone (flatten is hoisted out — it is
+   identical at every jobs count) at
    jobs=1 vs jobs=4, after a warmup run of each plan.  Machine-
    dependent, so this section is recorded in BENCH.json but NOT
    guarded: on a single-core host the barrier overhead makes jobs=4

@@ -129,18 +129,25 @@ let bfs_generic t src ~allow =
   if src < 0 || src >= n then invalid_arg "Graph.bfs: bad source";
   let dist = Array.make n unreachable in
   dist.(src) <- 0;
-  let q = Queue.create () in
-  Queue.push src q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
+  (* Each node enters the FIFO at most once, so an [n]-slot array with
+     head/tail cursors never wraps and the traversal allocates nothing
+     beyond [dist] and the queue itself. *)
+  let queue = Array.make n 0 in
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
     let dv = dist.(v) in
-    Array.iter
-      (fun (w, lid) ->
-        if t.links.(lid).up && dist.(w) = unreachable && allow t.nodes.(w) then begin
-          dist.(w) <- dv + 1;
-          Queue.push w q
-        end)
-      t.adj.(v)
+    let edges = t.adj.(v) in
+    for i = 0 to Array.length edges - 1 do
+      let w, lid = edges.(i) in
+      if t.links.(lid).up && dist.(w) = unreachable && allow t.nodes.(w) then begin
+        dist.(w) <- dv + 1;
+        queue.(!tail) <- w;
+        incr tail
+      end
+    done
   done;
   dist
 
@@ -166,18 +173,18 @@ let hop_layers t src =
 let shortest_path_from_dist t ~dist src dst =
   let n = num_nodes t in
   if dst < 0 || dst >= n then invalid_arg "Graph.shortest_path: bad destination";
-  if dist.(dst) = unreachable then None
+  if dist dst = unreachable then None
   else begin
     (* Walk back from [dst], always taking the lowest-id predecessor at
        distance d-1; adjacency is sorted so scanning in order suffices. *)
     let rec back v acc =
       if v = src then v :: acc
       else begin
-        let dv = dist.(v) in
+        let dv = dist v in
         let pred = ref (-1) in
         Array.iter
           (fun (w, lid) ->
-            if !pred = -1 && t.links.(peer_link lid).up && dist.(w) = dv - 1 then
+            if !pred = -1 && t.links.(peer_link lid).up && dist w = dv - 1 then
               pred := w)
           t.adj.(v);
         assert (!pred >= 0);
@@ -188,7 +195,7 @@ let shortest_path_from_dist t ~dist src dst =
   end
 
 let shortest_path t src dst =
-  shortest_path_from_dist t ~dist:(bfs_dist t src) src dst
+  shortest_path_from_dist t ~dist:(Array.get (bfs_dist t src)) src dst
 
 (* SplitMix64-style finalizer over a few ints, for ECMP hashing. *)
 let mix_ints ints =
@@ -207,16 +214,16 @@ let mix_ints ints =
 let shortest_path_ecmp_from_dist t ~dist src dst ~salt =
   let n = num_nodes t in
   if dst < 0 || dst >= n then invalid_arg "Graph.shortest_path_ecmp: bad destination";
-  if dist.(dst) = unreachable then None
+  if dist dst = unreachable then None
   else begin
     let rec back v acc =
       if v = src then v :: acc
       else begin
-        let dv = dist.(v) in
+        let dv = dist v in
         let preds = ref [] in
         Array.iter
           (fun (w, lid) ->
-            if t.links.(peer_link lid).up && dist.(w) = dv - 1 then
+            if t.links.(peer_link lid).up && dist w = dv - 1 then
               preds := w :: !preds)
           t.adj.(v);
         let preds = Array.of_list (List.rev !preds) in
@@ -230,7 +237,25 @@ let shortest_path_ecmp_from_dist t ~dist src dst ~salt =
   end
 
 let shortest_path_ecmp t src dst ~salt =
-  shortest_path_ecmp_from_dist t ~dist:(bfs_dist t src) src dst ~salt
+  shortest_path_ecmp_from_dist t ~dist:(Array.get (bfs_dist t src)) src dst ~salt
+
+let dist_via_neighbours t src ~neighbour_dist =
+  let firsts =
+    Array.fold_left
+      (fun acc (u, lid) -> if t.links.(lid).up then neighbour_dist u :: acc else acc)
+      [] t.adj.(src)
+    |> Array.of_list
+  in
+  fun v ->
+    if v = src then 0
+    else begin
+      let best = ref unreachable in
+      for i = 0 to Array.length firsts - 1 do
+        let d = firsts.(i).(v) in
+        if d < !best then best := d
+      done;
+      if !best = unreachable then unreachable else !best + 1
+    end
 
 let connected t nodes =
   match nodes with

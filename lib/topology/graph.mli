@@ -128,16 +128,33 @@ val shortest_path_ecmp : t -> int -> int -> salt:int -> int list option
     ECMP provides in a real Clos.  Deterministic for a given
     (src, dst, salt). *)
 
-val shortest_path_from_dist : t -> dist:int array -> int -> int -> int list option
-(** [shortest_path] given a precomputed [bfs_dist t src] array, letting
-    callers amortise the BFS over every destination sharing a source.
-    The array must come from [bfs_dist] on the current link state —
-    stale distances give wrong (or crashing) walks. *)
+val shortest_path_from_dist :
+  t -> dist:(int -> int) -> int -> int -> int list option
+(** [shortest_path_from_dist t ~dist src dst] is [shortest_path t src dst]
+    given the hop distance from [src] as a function, letting callers
+    amortise (or derive) the BFS across destinations.  [dist v] must
+    equal [(bfs_dist t src).(v)] on the current link state at every node
+    the walk reads: [dst] and the neighbours of each node on the way
+    back to [src].  [Array.get (bfs_dist t src)] and
+    [dist_via_neighbours t src] both qualify; stale or wrong distances
+    give wrong (or crashing) walks. *)
 
 val shortest_path_ecmp_from_dist :
-  t -> dist:int array -> int -> int -> salt:int -> int list option
-(** [shortest_path_ecmp] given a precomputed [bfs_dist t src] array;
-    same contract (and same path picks) as the BFS-per-call form. *)
+  t -> dist:(int -> int) -> int -> int -> salt:int -> int list option
+(** [shortest_path_ecmp] given [src]'s hop distance as a function; same
+    [~dist] contract as [shortest_path_from_dist], and the same path
+    picks as the BFS-per-call form. *)
+
+val dist_via_neighbours : t -> int -> neighbour_dist:(int -> int array) -> int -> int
+(** [dist_via_neighbours t src ~neighbour_dist] is [src]'s hop distance
+    derived from its up-neighbours' BFSs, by the identity
+    [d_src(v) = 1 + min { d_u(v) | src -> u up }] for [v <> src] (0 at
+    [src], [unreachable] when every neighbour misses [v]).
+    [neighbour_dist u] must return [bfs_dist t u] on the current link
+    state; it is called once per up out-link of [src], before the
+    function is returned.  The result equals [Array.get (bfs_dist t src)]
+    at every node, so callers can share (and cache) BFSs among sources
+    with common neighbours. *)
 
 val connected : t -> int list -> bool
 (** Whether all listed nodes are mutually reachable over up links. *)

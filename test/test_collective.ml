@@ -220,6 +220,77 @@ let test_loss_never_speeds_things_up () =
   Alcotest.(check bool) "repairs happened" true
     (loss.Peel_sim.Transfer.retransmissions > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Paths vs a per-source BFS reference                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference for [Paths.links]: the NVLink hop for sibling GPUs,
+   otherwise a BFS from the source itself and the (ECMP or lowest-id)
+   walk back.  A disconnected pair is [None]. *)
+let reference_links fabric ~ecmp a b =
+  let g = Fabric.graph fabric in
+  let gpu v = (Graph.node g v).Graph.kind = Graph.Gpu in
+  if a = b then Some []
+  else if gpu a && gpu b && Fabric.host_of_gpu fabric a = Fabric.host_of_gpu fabric b
+  then Some (Peel_sim.Transfer.path_links g [ a; Fabric.host_of_gpu fabric a; b ])
+  else
+    let path =
+      if ecmp then Graph.shortest_path_ecmp g a b ~salt:0
+      else Graph.shortest_path g a b
+    in
+    Option.map (Peel_sim.Transfer.path_links g) path
+
+let paths_fabrics =
+  [|
+    ("fat-tree gpus", fun () -> fat4 ());
+    ("fat-tree hosts", fun () -> Fabric.fat_tree ~k:4 ());
+    ( "leaf-spine",
+      fun () -> Fabric.leaf_spine ~spines:3 ~leaves:4 ~hosts_per_leaf:2 ~gpus_per_host:2 () );
+    ("rail", fun () -> Fabric.rail ~rails:4 ~groups:2 ~servers_per_group:2 ~spines:2 ());
+    ("vl2", fun () -> Fabric.of_zoo (Zoo.vl2 ~da:4 ~di:4 ()));
+  |]
+
+let prop_paths_match_reference =
+  QCheck.Test.make ~name:"Paths.links = per-source BFS walk" ~count:60
+    QCheck.(triple (int_bound (Array.length paths_fabrics - 1)) (int_bound 9999) bool)
+    (fun (fi, seed, ecmp) ->
+      let name, make = paths_fabrics.(fi) in
+      let fabric = make () in
+      let g = Fabric.graph fabric in
+      let eps = Fabric.endpoints fabric in
+      let rng = Rng.create seed in
+      let paths = Paths.create ~ecmp fabric in
+      let agree stage =
+        for _ = 1 to 60 do
+          let a = eps.(Rng.int rng (Array.length eps))
+          and b = eps.(Rng.int rng (Array.length eps)) in
+          let got =
+            match Paths.links paths a b with
+            | l -> Some l
+            | exception Invalid_argument _ -> None
+          in
+          if got <> reference_links fabric ~ecmp a b then
+            QCheck.Test.fail_reportf "%s, %s, ecmp=%b: %d -> %d differs" name stage
+              ecmp a b
+        done
+      in
+      agree "intact";
+      (* Fail fabric links plus one endpoint's uplink, so some sources
+         lose a neighbour (and GPU-less ones all of them). *)
+      let failed = Fabric.fail_random fabric ~rng ~tier:`All ~fraction:0.15 () in
+      let victim = eps.(Rng.int rng (Array.length eps)) in
+      let uplink =
+        Option.get (Graph.link_between g victim (Fabric.attach_tor fabric victim))
+      in
+      Graph.fail_link g uplink;
+      Paths.invalidate paths;
+      agree "failed";
+      List.iter (Fabric.recover_link fabric) failed;
+      Graph.recover_link g uplink;
+      Paths.invalidate paths;
+      agree "recovered";
+      true)
+
 let () =
   Alcotest.run "peel_collective"
     [
@@ -263,6 +334,7 @@ let () =
               Alcotest.(check bool) "ecmp strictly helps trees" true
                 (mean true < mean false));
         ] );
+      ("paths", [ QCheck_alcotest.to_alcotest prop_paths_match_reference ]);
       ( "loss",
         [
           Alcotest.test_case "completes under loss" `Quick test_broadcast_completes_under_loss;

@@ -63,6 +63,31 @@ let test_shortest_path () =
   | Some p -> Alcotest.(check (list int)) "via a" [ s; a; c ] p
   | None -> Alcotest.fail "expected path")
 
+let test_dist_via_neighbours () =
+  (* s has three neighbours: x (2 hops from t), y (3 hops from t) and z
+     (adjacent to t), but s -- z is down.  The derived distance must
+     ignore z's BFS (t is 3 hops away, via x) and still find z the long
+     way round; [lone] is unreachable. *)
+  let b = Graph.Builder.create () in
+  let add kind idx = Graph.Builder.add_node b kind ~pod:0 ~idx in
+  let s = add Graph.Host 0 and t = add Graph.Host 1 and lone = add Graph.Host 2 in
+  let x = add Graph.Tor 0 and y = add Graph.Tor 1 and z = add Graph.Tor 2 in
+  let p = add Graph.Agg 0 and q = add Graph.Agg 1 and r = add Graph.Agg 2 in
+  let duplex a c = Graph.Builder.add_duplex b ~bandwidth:1e9 a c in
+  List.iter
+    (fun (a, c) -> ignore (duplex a c))
+    [ (s, x); (x, p); (p, t); (s, y); (y, q); (q, r); (r, t); (z, t) ];
+  let l_sz = duplex s z in
+  let g = Graph.Builder.finish b in
+  Graph.fail_link g l_sz;
+  let dist = Graph.dist_via_neighbours g s ~neighbour_dist:(Graph.bfs_dist g) in
+  Alcotest.(check int) "t via x" 3 (dist t);
+  Alcotest.(check int) "z the long way" 4 (dist z);
+  Alcotest.(check int) "lone" Graph.unreachable (dist lone);
+  Array.iteri
+    (fun v d -> Alcotest.(check int) (Printf.sprintf "node %d" v) d (dist v))
+    (Graph.bfs_dist g s)
+
 let test_hop_layers () =
   let g, s, a, c, _, _, l_sc = tiny_graph () in
   Graph.fail_link g l_sc;
@@ -431,6 +456,7 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_unreachable;
           Alcotest.test_case "shortest path" `Quick test_shortest_path;
           Alcotest.test_case "hop layers" `Quick test_hop_layers;
+          Alcotest.test_case "dist via neighbours" `Quick test_dist_via_neighbours;
           Alcotest.test_case "link_between" `Quick test_link_between;
           Alcotest.test_case "self loop rejected" `Quick test_self_loop_rejected;
         ] );
