@@ -4,19 +4,9 @@ module Layer_peel = Peel_steiner.Layer_peel
 module D = Diagnostic
 
 let symmetric_lower_bound fabric ~source ~dests =
-  let g = Fabric.graph fabric in
-  let downs =
-    Array.fold_left
-      (fun acc (l : Graph.link) -> if l.Graph.up then acc else l.Graph.link_id :: acc)
-      [] (Graph.links g)
-  in
-  List.iter (Graph.recover_link g) downs;
-  Fun.protect
-    ~finally:(fun () -> List.iter (Graph.fail_link g) downs)
-    (fun () ->
-      match Peel_steiner.Symmetric.cost_lower_bound fabric ~source ~dests with
-      | cost -> Some cost
-      | exception Invalid_argument _ -> None)
+  match Peel_steiner.Symmetric.cost_lower_bound fabric ~source ~dests with
+  | cost -> Some cost
+  | exception Invalid_argument _ -> None
 
 let check_edges g tree =
   List.concat_map

@@ -25,8 +25,8 @@ val check :
   dests:int list ->
   Diagnostic.t list
 (** Structural checks against the graph; when [fabric] is supplied the
-    Theorem 2.5 cost bound is also checked (failures are temporarily
-    restored to compute the symmetric lower bound, then re-applied). *)
+    Theorem 2.5 cost bound is also checked against
+    {!symmetric_lower_bound}. *)
 
 val check_splice :
   ?fabric:Fabric.t ->
@@ -44,7 +44,9 @@ val check_splice :
 
 val symmetric_lower_bound :
   Fabric.t -> source:int -> dests:int list -> int option
-(** Lemma 2.1 optimum cost for the group on the failure-free fabric;
-    [None] when the symmetric construction does not apply.  Restores
-    any injected failures for the computation and re-applies them
-    before returning. *)
+(** Lemma 2.1 optimum cost for the group on the failure-free fabric
+    ({!Peel_steiner.Symmetric.cost_lower_bound}'s closed form, so the
+    graph and its link states are only read, never written, and
+    concurrent readers are safe); [None] when the symmetric
+    construction does not apply (a zoo group spanning several racks,
+    or a non-endpoint source or destination). *)

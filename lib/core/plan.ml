@@ -33,97 +33,123 @@ let header_bytes_for fabric =
   in
   Bits.ceil_div (tor_field + pod_field) 8
 
+let rec ascending = function
+  | a :: (b :: _ as rest) -> a < b && ascending rest
+  | [ _ ] | [] -> true
+
+(* Sorts a list of distinct ints, skipping the sort when it already is. *)
+let sorted l = if ascending l then l else List.sort Int.compare l
+
 let build ?budget fabric ~source ~dests =
-  let dests = List.sort_uniq compare (List.filter (fun d -> d <> source) dests) in
+  let dests = Peel_steiner.Layer_peel.normalize_dests ~source dests in
   let m = tor_id_bits fabric in
   let mp = pod_id_bits fabric in
-  let multi_pod = Fabric.pods fabric > 1 in
-  (* Destination ToR-id set per pod, and endpoints per (pod, tor id). *)
-  let pod_tors = Hashtbl.create 16 in (* pod -> tor idx set (sorted list) *)
-  let members = Hashtbl.create 64 in (* (pod, tor idx) -> endpoints *)
+  let npods = Fabric.pods fabric in
+  let tpp = Fabric.tors_per_pod fabric in
+  (* Endpoints per (pod, ToR index) slot [pod * tpp + idx], and the
+     slots that hold any. *)
+  let members = Array.make (npods * tpp) [] in
+  let used = ref [] in
   List.iter
     (fun d ->
       let tor = Fabric.attach_tor fabric d in
-      let pod = Fabric.pod_of_tor fabric tor in
-      let idx = Fabric.tor_idx_in_pod fabric tor in
-      Hashtbl.replace pod_tors pod
-        (idx :: Option.value (Hashtbl.find_opt pod_tors pod) ~default:[]);
-      Hashtbl.replace members (pod, idx)
-        (d :: Option.value (Hashtbl.find_opt members (pod, idx)) ~default:[]))
+      let slot =
+        (Fabric.pod_of_tor fabric tor * tpp) + Fabric.tor_idx_in_pod fabric tor
+      in
+      if members.(slot) = [] then used := slot :: !used;
+      members.(slot) <- d :: members.(slot))
     dests;
-  let signature pod =
-    List.sort_uniq compare (Hashtbl.find pod_tors pod)
+  (* Each pod's ToR signature: its member ToR indices, ascending. *)
+  let sigs = Array.make npods [] in
+  List.iter
+    (fun slot -> sigs.(slot / tpp) <- (slot mod tpp) :: sigs.(slot / tpp))
+    (List.sort (fun a b -> Int.compare b a) !used);
+  (* Pods sharing a signature form one group; [group_of.(pod)] names it
+     by its first pod. *)
+  let group_of = Array.make npods (-1) in
+  let groups =
+    List.init npods Fun.id
+    |> List.filter (fun p -> sigs.(p) <> [])
+    |> List.stable_sort (fun p q -> compare sigs.(p) sigs.(q))
+    |> List.fold_left
+         (fun acc p ->
+           match acc with
+           | (q :: _ as pods) :: rest when sigs.(p) = sigs.(q) ->
+               group_of.(p) <- group_of.(q);
+               (p :: pods) :: rest
+           | _ ->
+               group_of.(p) <- p;
+               [ p ] :: acc)
+         []
   in
-  (* Group pods by identical ToR signature. *)
-  let groups = Hashtbl.create 8 in (* signature -> pod list *)
-  Hashtbl.iter
-    (fun pod _ ->
-      let s = signature pod in
-      if not (List.mem pod (Option.value (Hashtbl.find_opt groups s) ~default:[]))
-      then
-        Hashtbl.replace groups s
-          (pod :: Option.value (Hashtbl.find_opt groups s) ~default:[]))
-    pod_tors;
   let cover_tors targets =
     match budget with
     | None -> Cover.exact_cover ~m targets
     | Some b -> Cover.budgeted_cover ~m ~budget:b targets
   in
   let packets = ref [] in
+  (* Walk the covered (pod, ToR index) slots from the last one down, so
+     prepending builds each list ascending wherever node ids follow
+     slot order, as they do on fat-trees and leaf-spines. *)
   let emit ~pod_prefix ~tor_prefix ~pods =
-    let pods = List.sort compare pods in
-    let covered_ids = Cover.expand ~m tor_prefix in
-    let tors, waste, endpoints =
-      List.fold_left
-        (fun (tors, waste, eps) pod ->
-          let pod_tors_arr = Fabric.tors_of_pod fabric pod in
-          List.fold_left
-            (fun (tors, waste, eps) idx ->
-              if idx >= Array.length pod_tors_arr then (tors, waste, eps)
-              else begin
-                let tor = pod_tors_arr.(idx) in
-                match Hashtbl.find_opt members (pod, idx) with
-                | Some ms -> (tor :: tors, waste, List.rev_append ms eps)
-                | None -> (tor :: tors, tor :: waste, eps)
-              end)
-            (tors, waste, eps) covered_ids)
-        ([], [], []) pods
-    in
+    let ids = List.rev (Cover.expand ~m tor_prefix) in
+    let tors = ref [] and waste = ref [] and endpoints = ref [] in
+    List.iter
+      (fun pod ->
+        let pod_tors = Fabric.tors_of_pod fabric pod in
+        List.iter
+          (fun idx ->
+            if idx < Array.length pod_tors then begin
+              let tor = pod_tors.(idx) in
+              tors := tor :: !tors;
+              match members.((pod * tpp) + idx) with
+              | [] -> waste := tor :: !waste
+              | ms -> endpoints := List.rev_append ms !endpoints
+            end)
+          ids)
+      (List.rev pods);
     packets :=
       {
         pod_prefix;
         tor_prefix;
         pods;
-        tors = List.sort compare tors;
-        endpoints = List.sort compare endpoints;
-        waste_tors = List.sort compare waste;
+        tors = sorted !tors;
+        endpoints = sorted !endpoints;
+        waste_tors = sorted !waste;
       }
       :: !packets
   in
-  Hashtbl.iter
-    (fun sig_tors pods ->
-      let tor_covers = cover_tors sig_tors in
-      if multi_pod then begin
-        let pod_covers = Cover.exact_cover ~m:mp pods in
+  List.iter
+    (fun pods ->
+      let gid = group_of.(List.hd pods) in
+      let tor_covers = cover_tors sigs.(gid) in
+      if npods > 1 then begin
         List.iter
           (fun pp ->
             let covered_pods =
-              List.filter (fun p -> List.mem p pods) (Cover.expand ~m:mp pp)
+              List.filter
+                (fun p -> p < npods && group_of.(p) = gid)
+                (Cover.expand ~m:mp pp)
             in
             List.iter
               (fun tp -> emit ~pod_prefix:(Some pp) ~tor_prefix:tp ~pods:covered_pods)
               tor_covers)
-          pod_covers
+          (Cover.exact_cover ~m:mp pods)
       end
       else
         List.iter (fun tp -> emit ~pod_prefix:None ~tor_prefix:tp ~pods) tor_covers)
     groups;
-  let packets =
-    List.sort
-      (fun a b -> compare (a.pods, a.tor_prefix) (b.pods, b.tor_prefix))
-      !packets
-  in
-  { source; dests; packets; header_bytes = header_bytes_for fabric }
+  {
+    source;
+    dests;
+    packets =
+      List.sort
+        (fun a b ->
+          let c = compare a.pods b.pods in
+          if c <> 0 then c else compare a.tor_prefix b.tor_prefix)
+        !packets;
+    header_bytes = header_bytes_for fabric;
+  }
 
 let num_packets t = List.length t.packets
 

@@ -306,9 +306,10 @@ let farthest st ~source ~dests =
   go 0 dests
 
 (* The Theorem 2.5 envelope data, memoized by (source, member set).
-   [symmetric_lower_bound] restores down links before costing, so both
-   components are pure in (source, dests) for the service's static
-   fabric and a memo hit equals recomputing (the SVC005 contract). *)
+   [symmetric_lower_bound] is a closed form over the destination list,
+   so both components are pure in (source, dests) for the service's
+   static fabric and a memo hit equals recomputing (the SVC005
+   contract). *)
 let bound_info st ~source ~members_bs ~dests =
   let compute () =
     let opt =

@@ -71,10 +71,13 @@ let exact_cover ~m targets =
 
 (* Lexicographic (over-coverage, prefix-count) objective. *)
 let inf_pair = (max_int, max_int)
-let pair_min a b = if a <= b then a else b
-let pair_add (a1, a2) (b1, b2) =
-  if (a1, a2) = inf_pair || (b1, b2) = inf_pair then inf_pair
-  else (a1 + b1, a2 + b2)
+let pair_min ((a1, a2) as a) ((b1, b2) as b) =
+  if a1 < b1 || (a1 = b1 && a2 <= b2) then a else b
+
+let is_inf (x1, x2) = x1 = max_int && x2 = max_int
+
+let pair_add ((a1, a2) as a) ((b1, b2) as b) =
+  if is_inf a || is_inf b then inf_pair else (a1 + b1, a2 + b2)
 
 let budgeted_cover ~m ~budget targets =
   if budget < 1 then invalid_arg "Cover.budgeted_cover: budget >= 1";
@@ -83,12 +86,12 @@ let budgeted_cover ~m ~budget targets =
   let bmax = budget in
   (* dp (value,len) = array over b in 0..bmax of best (overcov, count)
      using at most b prefixes inside this block, covering all its
-     targets. *)
-  let memo = Hashtbl.create 256 in
+     targets.  Memoized by the block's heap position [2^len + value];
+     an empty array marks a block not yet solved. *)
+  let memo = Array.make (Bits.pow2 (m + 1)) [||] in
   let rec dp value len =
-    match Hashtbl.find_opt memo (value, len) with
-    | Some a -> a
-    | None ->
+    match memo.(Bits.pow2 len + value) with
+    | [||] -> (
         let size = Bits.pow2 (m - len) in
         let start = value * size in
         let count = ref 0 in
@@ -117,8 +120,9 @@ let budgeted_cover ~m ~budget targets =
             a.(b) <- pair_min a.(b) a.(b - 1)
           done
         end;
-        Hashtbl.replace memo (value, len) a;
-        a
+        memo.(Bits.pow2 len + value) <- a;
+        a)
+    | a -> a
   in
   let _ = dp 0 0 in
   (* Reconstruct the choice achieving dp 0 0 budget. *)

@@ -1,5 +1,16 @@
 open Peel_topology
 
+let rec ascending = function
+  | a :: (b :: _ as rest) -> a < b && ascending rest
+  | [ _ ] | [] -> true
+
+(* [dests] without the source, ascending and duplicate-free.  Member
+   lists the service keeps already are, so the common case allocates
+   nothing. *)
+let normalize_dests ~source dests =
+  if ascending dests && not (List.mem source dests) then dests
+  else List.sort_uniq compare (List.filter (fun d -> d <> source) dests)
+
 let reach_info g ~source ~dests =
   let dist = Graph.bfs_dist g source in
   let unreachable = List.exists (fun d -> dist.(d) = Graph.unreachable) dests in
@@ -159,7 +170,7 @@ let peel_layers ?salt g ~lay ~top ~source ~dests ~seeds =
   Tree.of_parents g ~root:source ~parents:!parents
 
 let build_seeded ?salt g ~source ~dests ~seeds =
-  let dests = List.sort_uniq compare (List.filter (fun d -> d <> source) dests) in
+  let dests = normalize_dests ~source dests in
   match reach_info g ~source ~dests with
   | None -> None
   | Some (dist, far) ->
@@ -183,9 +194,7 @@ let peel_general ?salt ?layers g ~source ~dests =
           else if l < 0 then
             invalid_arg "Layer_peel.peel_general: negative layer label")
         lay;
-      let dests =
-        List.sort_uniq compare (List.filter (fun d -> d <> source) dests)
-      in
+      let dests = normalize_dests ~source dests in
       if List.exists (fun d -> lay.(d) = Graph.unreachable) dests then None
       else begin
         let top = List.fold_left (fun acc d -> max acc lay.(d)) 0 dests in
@@ -230,125 +239,89 @@ let delta_to_string = function
   | Add d -> Printf.sprintf "+%d" d
   | Remove d -> Printf.sprintf "-%d" d
 
-(* Bindings of [prev] as an association list, plus a membership test. *)
-let bindings_of prev =
-  let bs = ref [] in
-  let rec walk v =
-    List.iter
-      (fun (child, lid) ->
-        bs := (child, (v, lid)) :: !bs;
-        walk child)
-      (Tree.children prev v)
-  in
-  walk (Tree.root prev);
-  !bs
+let rec mem_sorted x = function
+  | [] -> false
+  | y :: rest -> if y < x then mem_sorted x rest else y = x
 
-(* Drop every binding that no longer feeds a destination: mark the
-   root-ward chain of each dest, keep marked bindings only. *)
-let prune_bindings g ~root ~bindings ~dests =
-  let n = Graph.num_nodes g in
-  let parent_of = Array.make n None in
-  List.iter (fun (v, pl) -> parent_of.(v) <- Some pl) bindings;
-  let needed = Array.make n false in
-  needed.(root) <- true;
-  let rec mark v =
-    if not needed.(v) then begin
-      needed.(v) <- true;
-      match parent_of.(v) with Some (p, _) -> mark p | None -> ()
+(* Climb from [d] toward the source along [dist] layers, binding each
+   hop to the lowest-ranked previous-layer neighbour over an up link —
+   preferring one already in [prev], where the climb stops.  Returns
+   the fresh bindings top-down (the first one hangs off [prev]), or
+   [None] when some hop has no candidate. *)
+let climb ?salt g ~prev ~dist d =
+  let rec go v acc =
+    if Tree.mem prev v then Some acc
+    else begin
+      let dv = dist.(v) in
+      let adj = Graph.out_links g v in
+      let in_u = ref (-1) and in_l = ref (-1) and in_r = ref 0 in
+      let fr_u = ref (-1) and fr_l = ref (-1) and fr_r = ref 0 in
+      for i = 0 to Array.length adj - 1 do
+        let u, lid = adj.(i) in
+        let rev = Graph.peer_link lid in
+        if Graph.link_up g rev && dist.(u) = dv - 1 then begin
+          let r = rank ?salt u in
+          if Tree.mem prev u then begin
+            if !in_u < 0 || r < !in_r then begin
+              in_u := u;
+              in_l := rev;
+              in_r := r
+            end
+          end
+          else if !fr_u < 0 || r < !fr_r then begin
+            fr_u := u;
+            fr_l := rev;
+            fr_r := r
+          end
+        end
+      done;
+      if !in_u >= 0 then Some ((v, (!in_u, !in_l)) :: acc)
+      else if !fr_u >= 0 then go !fr_u ((v, (!fr_u, !fr_l)) :: acc)
+      else
+        (* A fresh BFS guarantees a shortest-path predecessor at every
+           hop, but a caller-supplied [dist] may be stale and links may
+           have gone down since it was computed. *)
+        None
     end
   in
-  List.iter mark dests;
-  List.filter (fun (v, _) -> needed.(v)) bindings
+  go d []
 
 let splice ?salt ?dist g ~prev ~source ~dests ~delta =
   if Tree.root prev <> source then
     invalid_arg "Layer_peel.splice: previous tree not rooted at the source";
-  let dests = List.sort_uniq compare (List.filter (fun d -> d <> source) dests) in
+  let dests = normalize_dests ~source dests in
   (match delta with
   | Add d ->
-      if not (List.mem d dests) then
+      if not (mem_sorted d dests) then
         invalid_arg "Layer_peel.splice: added member missing from dests"
   | Remove d ->
-      if List.mem d dests then
+      if mem_sorted d dests then
         invalid_arg "Layer_peel.splice: removed member still in dests");
-  match delta with
-  | Remove d ->
-      if not (Tree.mem prev d) then Some prev
-      else
-        let bindings =
-          prune_bindings g ~root:source ~bindings:(bindings_of prev) ~dests
-        in
-        Some (Tree.of_parents g ~root:source ~parents:bindings)
-  | Add d ->
-      if d = source || Tree.mem prev d then Some prev
-      else begin
-        let dist = match dist with Some a -> a | None -> Graph.bfs_dist g source in
-        if dist.(d) = Graph.unreachable then None
+  (* The precondition: every leaf of [prev] is a destination or the
+     delta's endpoint.  [dests] is duplicate-free, so comparing the
+     leaves among them with the tree's leaf count checks it without
+     allocating. *)
+  let leaves =
+    List.fold_left
+      (fun n d -> if Tree.is_leaf prev d then n + 1 else n)
+      0 dests
+  in
+  let leaves =
+    match delta with
+    | Remove d when Tree.is_leaf prev d -> leaves + 1
+    | Remove _ | Add _ -> leaves
+  in
+  if leaves <> Tree.leaf_count prev then None
+  else
+    match delta with
+    | Remove d -> Some (Tree.cut prev d ~keep:(fun v -> mem_sorted v dests))
+    | Add d ->
+        if Tree.mem prev d then Some prev
         else begin
-          (* Climb from the new subscriber toward the source along BFS
-             layers, binding each hop to the lowest-ranked previous-layer
-             neighbour — preferring one already in the tree, where the
-             climb stops.  This splices a single-path subtree in without
-             touching any existing binding. *)
-          let fresh = ref [] in
-          let on_path = Hashtbl.create 8 in
-          let exception Climb_failed in
-          let rec climb v =
-            if not (Tree.mem prev v) then begin
-              let dv = dist.(v) in
-              let candidates =
-                Array.to_list (Graph.out_links g v)
-                |> List.filter_map (fun (u, lid) ->
-                       let rev = Graph.peer_link lid in
-                       if
-                         Graph.link_up g rev
-                         && dist.(u) = dv - 1
-                         && not (Hashtbl.mem on_path u)
-                       then Some (u, rev)
-                       else None)
-              in
-              let in_tree, fresh_cands =
-                List.partition (fun (u, _) -> Tree.mem prev u) candidates
-              in
-              let best = function
-                | [] -> None
-                | first :: rest ->
-                    Some
-                      (List.fold_left
-                         (fun (bu, bl) (u, l) ->
-                           if rank ?salt u < rank ?salt bu then (u, l)
-                           else (bu, bl))
-                         first rest)
-              in
-              match best in_tree with
-              | Some (u, lid) -> fresh := (v, (u, lid)) :: !fresh
-              | None -> (
-                  match best fresh_cands with
-                  | Some (u, lid) ->
-                      fresh := (v, (u, lid)) :: !fresh;
-                      Hashtbl.replace on_path v ();
-                      climb u
-                  | None ->
-                      (* A fresh BFS guarantees a shortest-path
-                         predecessor at every hop, but a caller-supplied
-                         [dist] may be stale and links may have gone
-                         down since it was computed — honor the option
-                         contract and let the caller fall back to a
-                         full peel. *)
-                      raise Climb_failed)
-            end
-          in
-          match climb d with
-          | exception Climb_failed -> None
-          | () ->
-              let bindings = !fresh @ bindings_of prev in
-              (* The previous tree may carry members the shrinking side
-                 of the churn already removed from [dests]; prune to the
-                 chains the current membership needs. *)
-              let bindings = prune_bindings g ~root:source ~bindings ~dests in
-              Some (Tree.of_parents g ~root:source ~parents:bindings)
+          let dist = match dist with Some a -> a | None -> Graph.bfs_dist g source in
+          if dist.(d) = Graph.unreachable then None
+          else Option.map (Tree.graft g prev) (climb ?salt g ~prev ~dist d)
         end
-      end
 
 let repeel ?salt g ~prev ~source ~dests =
   if Tree.root prev <> source then

@@ -13,6 +13,11 @@
 
 open Peel_topology
 
+val normalize_dests : source:int -> int list -> int list
+(** The destination set every planner works on: ascending,
+    duplicate-free, without the source.  A list that already is one is
+    returned as is, so the common case allocates nothing. *)
+
 val build : ?salt:int -> Graph.t -> source:int -> dests:int list -> Tree.t option
 (** [None] when some destination is unreachable from the source.
     Deterministic: greedy ties break toward the lowest node id, or — when
@@ -95,22 +100,37 @@ val splice :
   Tree.t option
 (** [splice g ~prev ~source ~dests ~delta] updates [prev] for one
     membership delta, where [dests] is the destination set {e after}
-    the delta.  [Add d] climbs from [d] toward the source along BFS
-    layers (lowest-{!build}-rank previous-layer neighbour, preferring
-    nodes already in the tree, where the climb stops), binding a fresh
-    single-path subtree; existing bindings are never rewired.
-    [Remove d] prunes the bindings that no longer feed any remaining
-    destination.  [dist] optionally reuses a cached
-    [Graph.bfs_dist g source] array for the {e current} graph.
+    the delta.  [prev] is edited along the changed path only:
+    - [Add d] climbs from [d] toward the source along BFS layers
+      (lowest-{!build}-rank previous-layer neighbour, preferring nodes
+      already in the tree, where the climb stops) and grafts the fresh
+      single-path subtree ({!Tree.graft}); existing bindings are never
+      rewired.
+    - [Remove d] cuts [d] and every ancestor left with no children that
+      is not a destination ({!Tree.cut}).
+    [dist] optionally reuses a cached [Graph.bfs_dist g source] array
+    for the {e current} graph.
 
-    Returns [None] when an added member is unreachable, or when the
-    climb finds no previous-layer candidate with an up reverse link at
-    some hop (possible when a caller-supplied [dist] is stale or links
-    went down since the BFS) — callers fall back to a full peel.
-    Raises
-    [Invalid_argument] if [prev] is not rooted at [source], or if
-    [delta] disagrees with [dests] ([Add d] without [d] in [dests], or
-    [Remove d] with [d] still present). *)
+    {b Precondition.}  [prev] has no dead branch: every leaf of [prev]
+    is in [dests] or is the delta's endpoint.  Every tree {!build} or
+    [splice] returns meets it for its own destination set.  When [prev]
+    breaks it, [splice] returns [None] and the caller falls back to a
+    full peel; on trees that meet it, the result equals re-peeling
+    [prev]'s bindings plus the climbed path and pruning every binding
+    that feeds no destination.
+
+    {b Cost.}  [O(path * log n)] for the tree edit, where [n] is the
+    tree size, plus an allocation-free [O(n + |dests| * log n)]
+    precondition count; [dests] given ascending and without the source
+    (as the service keeps them) is used as is.
+
+    Returns [None] when the precondition fails, when an added member
+    is unreachable, or when the climb finds no previous-layer
+    candidate with an up reverse link at some hop (possible when a
+    caller-supplied [dist] is stale or links went down since the BFS).
+    Raises [Invalid_argument] if [prev] is not rooted at [source], or
+    if [delta] disagrees with [dests] ([Add d] without [d] in [dests],
+    or [Remove d] with [d] still present). *)
 
 val farthest_layer : Graph.t -> source:int -> dests:int list -> int option
 (** F = the largest hop distance from the source to any destination

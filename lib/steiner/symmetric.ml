@@ -17,11 +17,8 @@ let add_edge g acc ~parent ~child =
         acc.seen <- Iset.add child acc.seen
   end
 
-(* Enumerate the symmetric tree's parent bindings without constructing
-   a [Tree.t].  [build] lowers them through [Tree.of_parents]; the cost
-   bound only needs their count — [add_edge] already guarantees one
-   binding per child over a real parent->child link, which is all
-   [Tree.cost] would measure. *)
+(* The symmetric tree's parent bindings, which [build] lowers through
+   [Tree.of_parents]. *)
 let bindings fabric ~source ~dests =
   let g = Fabric.graph fabric in
   let dests = List.sort_uniq compare (List.filter (fun d -> d <> source) dests) in
@@ -110,5 +107,60 @@ let build fabric ~source ~dests =
   Tree.of_parents (Fabric.graph fabric) ~root:source
     ~parents:(bindings fabric ~source ~dests)
 
+(* Sorts [a] in place, skipping the sort when it already is: endpoint
+   ids ascend with their ToR and pod on the built-in fabrics, so sorted
+   destinations give sorted ToRs and pods. *)
+let sort_ints a =
+  let rec ascending i = i >= Array.length a || (a.(i - 1) <= a.(i) && ascending (i + 1)) in
+  if not (ascending 1) then Array.stable_sort Int.compare a
+
+(* Sorts [a] in place and counts its distinct values other than
+   [except]. *)
+let count_distinct_except a ~except =
+  sort_ints a;
+  let n = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    if a.(i) <> except && (i = 0 || a.(i) <> a.(i - 1)) then incr n
+  done;
+  !n
+
+(* The edge count of [bindings], in closed form: one edge per
+   destination endpoint and one into the source ToR; with racks beyond
+   the source's, one edge up from the source ToR and one into each
+   such rack; on a fat-tree spanning other pods, one agg -> core edge
+   and one into each other pod's aggregation switch. *)
 let cost_lower_bound fabric ~source ~dests =
-  List.length (bindings fabric ~source ~dests)
+  let src_tor = Fabric.attach_tor fabric source in
+  let eps = Array.of_list dests in
+  sort_ints eps;
+  (* Compact the distinct non-source destinations to the front. *)
+  let nd = ref 0 in
+  for i = 0 to Array.length eps - 1 do
+    let d = eps.(i) in
+    if d <> source && (!nd = 0 || eps.(!nd - 1) <> d) then begin
+      eps.(!nd) <- d;
+      incr nd
+    end
+  done;
+  let nd = !nd in
+  if nd = 0 then 0
+  else begin
+    let tors = Array.init nd (fun i -> Fabric.attach_tor fabric eps.(i)) in
+    let racks = count_distinct_except tors ~except:src_tor in
+    let upper =
+      if racks = 0 then 0
+      else
+        match fabric with
+        | Fabric.Ls _ | Fabric.Rl _ -> 1 + racks
+        | Fabric.Ft _ ->
+            let src_pod = Fabric.pod_of_tor fabric src_tor in
+            let pods = Array.map (Fabric.pod_of_tor fabric) tors in
+            let other_pods = count_distinct_except pods ~except:src_pod in
+            1 + racks + if other_pods = 0 then 0 else 1 + other_pods
+        | Fabric.Zo _ ->
+            invalid_arg
+              "Symmetric.cost_lower_bound: no closed-form optimum on a zoo \
+               fabric"
+    in
+    1 + nd + upper
+  end

@@ -21,6 +21,18 @@ val build : Fabric.t -> source:int -> dests:int list -> Tree.t
     is removed from [dests] if present. *)
 
 val cost_lower_bound : Fabric.t -> source:int -> dests:int list -> int
-(** The bandwidth-optimal link count for the group, i.e. the cost of the
-    tree [build] returns; exposed separately so benchmarks can report
-    the optimum without materializing the tree. *)
+(** The bandwidth-optimal link count for the group — the cost of the
+    tree [build] returns on the failure-free fabric — in closed form
+    from the destination list, in [O(|D| log |D|)] without touching
+    the graph or its link states.  With [D] the distinct destinations
+    other than the source and [R] the distinct destination ToRs other
+    than the source's, the count is [0] when [D] is empty and otherwise
+    - [|D| + 1]: one edge per endpoint, plus source -> ToR;
+    - [+ 1 + |R|] when [R] is non-empty: the source ToR up to one
+      aggregation/spine switch, plus one edge down into each rack;
+    - [+ 1 + P] on a fat-tree whose destinations span [P > 0] pods
+      other than the source's: one aggregation -> core edge, plus one
+      edge into each such pod's aggregation switch.
+    Raises [Invalid_argument] when [source] or a destination is not an
+    endpoint, or on a zoo fabric when [R] is non-empty (no closed-form
+    optimum beyond the source rack there). *)

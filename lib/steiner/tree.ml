@@ -10,6 +10,11 @@ type t = {
 
 let root t = t.root
 
+let check_link g ~fn ~parent ~node lid =
+  let l = Graph.link g lid in
+  if l.Graph.src <> parent || l.Graph.dst <> node then
+    invalid_arg (fn ^ ": link does not run parent->node")
+
 let of_parents g ~root ~parents =
   let pmap =
     List.fold_left
@@ -17,9 +22,7 @@ let of_parents g ~root ~parents =
         if Imap.mem node acc then
           invalid_arg "Tree.of_parents: duplicate binding for a node";
         if node = root then invalid_arg "Tree.of_parents: root cannot have a parent";
-        let l = Graph.link g lid in
-        if l.Graph.src <> parent || l.Graph.dst <> node then
-          invalid_arg "Tree.of_parents: link does not run parent->node";
+        check_link g ~fn:"Tree.of_parents" ~parent ~node lid;
         Imap.add node (parent, lid) acc)
       Imap.empty parents
   in
@@ -53,13 +56,67 @@ let of_parents g ~root ~parents =
   { root; parents = pmap; child_map }
 
 let members t =
-  t.root :: Imap.fold (fun node _ acc -> node :: acc) t.parents []
-  |> List.sort_uniq compare
+  (* [Imap.fold] visits nodes ascending, so consing yields them
+     descending; folding that back inserts the root on the way. *)
+  let rec up acc placed = function
+    | [] -> if placed then acc else t.root :: acc
+    | v :: rest ->
+        if (not placed) && v < t.root then up (v :: t.root :: acc) true rest
+        else up (v :: acc) placed rest
+  in
+  up [] false (Imap.fold (fun node _ acc -> node :: acc) t.parents [])
 
 let mem t v = v = t.root || Imap.mem v t.parents
 let parent t v = Imap.find_opt v t.parents
 
 let children t v = Option.value (Imap.find_opt v t.child_map) ~default:[]
+
+let is_leaf t v = Imap.mem v t.parents && not (Imap.mem v t.child_map)
+
+(* [child_map] holds an entry only for members with at least one child. *)
+let leaf_count t =
+  Imap.cardinal t.parents - Imap.cardinal t.child_map
+  + if Imap.mem t.root t.child_map then 1 else 0
+
+(* Insert keeping the (child, link) order [of_parents] sorts into. *)
+let rec insert_child ((c, l) as e) = function
+  | [] -> [ e ]
+  | ((c', l') as x) :: rest ->
+      if c < c' || (c = c' && l < l') then e :: x :: rest
+      else x :: insert_child e rest
+
+let graft g t bindings =
+  List.fold_left
+    (fun t (node, (parent, lid)) ->
+      if node = t.root then invalid_arg "Tree.graft: root cannot have a parent";
+      if Imap.mem node t.parents then
+        invalid_arg "Tree.graft: node already in the tree";
+      if not (mem t parent) then invalid_arg "Tree.graft: parent not in the tree";
+      check_link g ~fn:"Tree.graft" ~parent ~node lid;
+      {
+        t with
+        parents = Imap.add node (parent, lid) t.parents;
+        child_map =
+          Imap.add parent (insert_child (node, lid) (children t parent)) t.child_map;
+      })
+    t bindings
+
+let rec cut t v ~keep =
+  match Imap.find_opt v t.parents with
+  | None -> t (* the root, or not a member *)
+  | Some _ when Imap.mem v t.child_map -> t
+  | Some (p, _) ->
+      let siblings = List.filter (fun (c, _) -> c <> v) (children t p) in
+      let t =
+        {
+          t with
+          parents = Imap.remove v t.parents;
+          child_map =
+            (if siblings = [] then Imap.remove p t.child_map
+             else Imap.add p siblings t.child_map);
+        }
+      in
+      if siblings = [] && not (keep p) then cut t p ~keep else t
 
 let edges t =
   Imap.fold (fun node (parent, lid) acc -> (parent, node, lid) :: acc) t.parents []
@@ -107,12 +164,12 @@ let validate g t ~dests =
       else Ok ()
     end
   in
-  let rec first_error = function
-    | [] -> Ok ()
-    | (node, pe) :: rest -> (
-        match check_edge node pe with Ok () -> first_error rest | e -> e)
+  let first_error =
+    Imap.fold
+      (fun node pe acc -> match acc with Ok () -> check_edge node pe | e -> e)
+      t.parents (Ok ())
   in
-  match first_error (Imap.bindings t.parents) with
+  match first_error with
   | Error _ as e -> e
   | Ok () ->
       let missing = List.filter (fun d -> not (mem t d)) dests in

@@ -29,6 +29,28 @@ val parent : t -> int -> (int * int) option
 val children : t -> int -> (int * int) list
 (** [(child_node, link_id)] pairs, ascending child order. *)
 
+val is_leaf : t -> int -> bool
+(** A non-root member with no children. *)
+
+val leaf_count : t -> int
+(** Number of non-root members with no children; [O(n)], allocation
+    free. *)
+
+val graft : Graph.t -> t -> (int * (int * int)) list -> t
+(** [graft g t bindings] adds [(node, (parent, link_id))] bindings in
+    list order: each parent must already be a member (of [t] or through
+    an earlier binding), each node must not be, and each link must run
+    parent->node, as in {!of_parents}.  Children stay in {!of_parents}'
+    ascending (child, link) order.  [O(|bindings| * (log n + fanout))];
+    raises [Invalid_argument] on a binding that breaks these rules. *)
+
+val cut : t -> int -> keep:(int -> bool) -> t
+(** [cut t v ~keep] removes the childless non-root member [v], then
+    walks toward the root removing every ancestor left without
+    children for which [keep] is false.  [t] is returned unchanged when
+    [v] is the root, not a member, or has children.
+    [O(path * (log n + fanout))]. *)
+
 val edges : t -> (int * int * int) list
 (** [(parent, child, link_id)] triples, ascending child order. *)
 

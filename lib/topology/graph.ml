@@ -71,8 +71,13 @@ module Builder = struct
         fill.(l.src) <- fill.(l.src) + 1)
       links;
     (* Sort out-edges by (dst, link id) so traversal order is stable and
-       independent of construction order. *)
-    Array.iter (fun edges -> Array.sort compare edges) adj;
+       independent of construction order.  The keys are distinct, so the
+       merge sort gives the same order as any other; it is the fastest
+       on these short arrays and allocates least. *)
+    let by_dst_link (a, la) (b, lb) =
+      if a <> b then Int.compare a b else Int.compare la lb
+    in
+    Array.iter (fun edges -> Array.stable_sort by_dst_link edges) adj;
     { nodes; links; adj }
 end
 

@@ -159,6 +159,44 @@ let prop_plan_partitions =
       && List.sort compare (List.concat_map (fun p -> p.Plan.endpoints) plan.Plan.packets)
          = List.sort compare dests)
 
+(* Differential: [Plan.build] equals the hashtable-based reference in
+   test support, packet order included, over every fabric family —
+   a leaf-spine with more ToRs than an int bit-mask holds among them —
+   and budgets none and 1-3.  Destination sets are random samples or
+   contiguous endpoint ranges (which collapse into wide prefixes), and
+   may repeat members or include the source. *)
+let plan_fabrics =
+  lazy
+    [|
+      fat8 ();
+      Fabric.fat_tree ~k:4 ();
+      Fabric.leaf_spine ~spines:2 ~leaves:70 ~hosts_per_leaf:1 ();
+      Fabric.rail ~rails:4 ~groups:3 ~servers_per_group:2 ~spines:2 ();
+      Fabric.of_zoo (Zoo.abfattree ~hosts_per_tor:2 ~k:4 ());
+      Fabric.of_zoo (Zoo.vl2 ~da:4 ~di:4 ());
+    |]
+
+let prop_plan_matches_reference =
+  QCheck.Test.make ~name:"plan build equals the reference builder" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let fabrics = Lazy.force plan_fabrics in
+      let f = fabrics.(Rng.int rng (Array.length fabrics)) in
+      let eps = Fabric.endpoints f in
+      let n = Array.length eps in
+      let source = eps.(Rng.int rng n) in
+      let dests =
+        if Rng.bool rng then
+          List.init (Rng.int rng 40) (fun _ -> eps.(Rng.int rng n))
+        else
+          let lo = Rng.int rng n in
+          List.init (Rng.int rng (n - lo + 1)) (fun i -> eps.(lo + i))
+      in
+      let budget = match Rng.int rng 4 with 0 -> None | b -> Some b in
+      Plan.build ?budget f ~source ~dests
+      = Peel_test_support.Plan_ref.build ?budget f ~source ~dests)
+
 (* ------------------------------------------------------------------ *)
 (* Facade                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -282,6 +320,7 @@ let () =
           Alcotest.test_case "leaf-spine single pod" `Quick test_plan_leaf_spine_single_pod;
           Alcotest.test_case "packet trees valid" `Quick test_packet_trees_valid;
           qt prop_plan_partitions;
+          qt prop_plan_matches_reference;
         ] );
       ( "dataplane",
         [

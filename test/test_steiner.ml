@@ -664,6 +664,210 @@ let prop_splice_differential =
           done;
           !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Closed-form Lemma 2.1 bound and the path-only splice                *)
+(* ------------------------------------------------------------------ *)
+
+module Splice_ref = Peel_test_support.Splice_ref
+
+let bound_fabrics =
+  [|
+    (fun () -> Fabric.fat_tree ~k:4 ());
+    (fun () -> Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:2 ());
+    (fun () -> Fabric.leaf_spine ~spines:3 ~leaves:5 ~hosts_per_leaf:3 ());
+    (fun () -> Fabric.rail ~rails:4 ~groups:2 ~servers_per_group:2 ~spines:2 ());
+    (fun () -> Fabric.of_zoo (Zoo.vl2 ~da:4 ~di:4 ()));
+    (fun () -> Fabric.of_zoo (Zoo.abfattree ~hosts_per_tor:2 ~k:4 ()));
+  |]
+
+let link_states g = Array.map (fun l -> l.Graph.up) (Graph.links g)
+
+(* Property: the closed-form bound equals the cost of the Lemma 2.1
+   tree built on an intact twin of the fabric, with or without failed
+   links on the checked one, and reading it leaves every link state as
+   it was.  Destination lists may repeat members and hold the source. *)
+let prop_bound_closed_form =
+  QCheck.Test.make
+    ~name:"symmetric_lower_bound equals the Lemma 2.1 tree cost" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let mk = bound_fabrics.(Rng.int rng (Array.length bound_fabrics)) in
+      let f = mk () and twin = mk () in
+      if Rng.bool rng then
+        ignore
+          (Fabric.fail_random f ~rng ~tier:`All ~fraction:0.1
+             ~ensure_connected:false ());
+      let g = Fabric.graph f in
+      let before = link_states g in
+      let eps = Fabric.endpoints f in
+      let n = Array.length eps in
+      let source = eps.(Rng.int rng n) in
+      let dests = List.init (Rng.int rng 14) (fun _ -> eps.(Rng.int rng n)) in
+      let got = Peel_check.Check_tree.symmetric_lower_bound f ~source ~dests in
+      let want =
+        match Symmetric.build twin ~source ~dests with
+        | t -> Some (Tree.cost t)
+        | exception Invalid_argument _ -> None
+      in
+      got = want && link_states g = before)
+
+let test_bound_rejects_non_endpoint () =
+  let f = Fabric.fat_tree ~k:4 () in
+  let h = Fabric.hosts f in
+  let tor = (Fabric.tors f).(0) in
+  Alcotest.(check (option int)) "switch destination" None
+    (Peel_check.Check_tree.symmetric_lower_bound f ~source:h.(0) ~dests:[ tor ]);
+  Alcotest.(check (option int)) "switch source" None
+    (Peel_check.Check_tree.symmetric_lower_bound f ~source:tor ~dests:[ h.(0) ]);
+  Alcotest.(check (option int)) "empty group" (Some 0)
+    (Peel_check.Check_tree.symmetric_lower_bound f ~source:h.(0) ~dests:[ h.(0) ])
+
+(* Every edge and every member's child list, in order. *)
+let tree_shape t =
+  (Tree.edges t, List.map (fun v -> (v, Tree.children t v)) (Tree.members t))
+
+let same_result a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> tree_shape a = tree_shape b
+  | Some _, None | None, Some _ -> false
+
+(* Property: random join/leave sequences through the path-only splice
+   give exactly the whole-tree reference's trees — with and without
+   [salt], on failed fabrics, with a cached, absent or stale [dist],
+   and with destination lists unsorted or holding the source.  A [None]
+   falls back to a full peel, as the service does. *)
+let prop_splice_matches_reference =
+  QCheck.Test.make ~name:"splice equals the whole-tree reference" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let f =
+        match Rng.int rng 3 with
+        | 0 -> Fabric.fat_tree ~k:4 ()
+        | 1 -> Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:2 ()
+        | _ -> Fabric.leaf_spine ~spines:3 ~leaves:6 ~hosts_per_leaf:2 ()
+      in
+      let g = Fabric.graph f in
+      let salt = if Rng.bool rng then Some (Rng.int rng 1000) else None in
+      if Rng.bool rng then
+        ignore (Fabric.fail_random f ~rng ~tier:`All ~fraction:0.1 ());
+      let eps = Fabric.endpoints f in
+      let n = Array.length eps in
+      let source = eps.(Rng.int rng n) in
+      let dist = Graph.bfs_dist g source in
+      (* Links failing after the BFS leave [dist] stale. *)
+      if Rng.int rng 4 = 0 then
+        ignore
+          (Fabric.fail_random f ~rng ~tier:`All ~fraction:0.1
+             ~ensure_connected:false ());
+      let members =
+        ref
+          (Rng.sample_without_replacement rng n 4
+          |> List.map (fun i -> eps.(i))
+          |> List.filter (fun d -> d <> source)
+          |> List.sort compare)
+      in
+      let ok = ref true in
+      let cur = ref (Layer_peel.build ?salt g ~source ~dests:!members) in
+      for _ = 1 to 12 do
+        match !cur with
+        | None -> ()
+        | Some prev ->
+            let free =
+              List.filter
+                (fun e -> e <> source && not (List.mem e !members))
+                (Array.to_list eps)
+            in
+            let delta, next =
+              if !members = [] || (free <> [] && Rng.bool rng) then
+                let d = List.nth free (Rng.int rng (List.length free)) in
+                (Layer_peel.Add d, List.sort compare (d :: !members))
+              else
+                let d = List.nth !members (Rng.int rng (List.length !members)) in
+                (Layer_peel.Remove d, List.filter (fun m -> m <> d) !members)
+            in
+            let dests = if Rng.bool rng then next else List.rev (source :: next) in
+            let dist = if Rng.bool rng then Some dist else None in
+            let got = Layer_peel.splice ?salt ?dist g ~prev ~source ~dests ~delta in
+            let want = Splice_ref.splice ?salt ?dist g ~prev ~source ~dests ~delta in
+            if not (same_result got want) then ok := false;
+            members := next;
+            cur :=
+              (match got with
+              | Some t -> Some t
+              | None -> Layer_peel.build ?salt g ~source ~dests:next)
+      done;
+      !ok)
+
+(* A [prev] with a dead branch (a leaf outside the destinations and the
+   delta's endpoint) breaks splice's precondition: splice returns
+   [None] where the reference would have pruned the branch. *)
+let test_splice_dead_branch_is_none () =
+  let f = Fabric.fat_tree ~k:4 () in
+  let g = Fabric.graph f in
+  let h = Fabric.hosts f in
+  let source = h.(0) in
+  let a = h.(2) and b = h.(5) and c = h.(9) and x = h.(13) in
+  let with_x = expect_tree (Layer_peel.build g ~source ~dests:[ a; b; x ]) in
+  List.iter
+    (fun (name, dests, delta) ->
+      Alcotest.(check bool)
+        (name ^ ": splice declines") true
+        (Layer_peel.splice g ~prev:with_x ~source ~dests ~delta = None);
+      Alcotest.(check bool)
+        (name ^ ": reference prunes") true
+        (match Splice_ref.splice g ~prev:with_x ~source ~dests ~delta with
+        | Some t -> not (Tree.mem t x)
+        | None -> false))
+    [ ("add", [ a; b; c ], Layer_peel.Add c); ("remove", [ a ], Layer_peel.Remove b) ];
+  Alcotest.(check bool) "remove of a non-member declines" true
+    (Layer_peel.splice g ~prev:with_x ~source ~dests:[ a; b ]
+       ~delta:(Layer_peel.Remove c)
+    = None);
+  (* The same deltas on a tree without the dead branch go through. *)
+  let clean = expect_tree (Layer_peel.build g ~source ~dests:[ a; b ]) in
+  Alcotest.(check bool) "clean add" true
+    (same_result
+       (Layer_peel.splice g ~prev:clean ~source ~dests:[ a; b; c ]
+          ~delta:(Layer_peel.Add c))
+       (Splice_ref.splice g ~prev:clean ~source ~dests:[ a; b; c ]
+          ~delta:(Layer_peel.Add c)))
+
+let test_tree_graft_and_cut () =
+  let f = Fabric.leaf_spine ~spines:2 ~leaves:3 ~hosts_per_leaf:3 () in
+  let g = Fabric.graph f in
+  let h = Fabric.hosts f in
+  let source = h.(0) in
+  let t = expect_tree (Layer_peel.build g ~source ~dests:[ h.(2); h.(8) ]) in
+  let leaf = Fabric.attach_tor f h.(8) in
+  let lid p c = Option.get (Graph.link_between g p c) in
+  (* Graft a member below a ToR that already has a larger-id child. *)
+  let t' = Tree.graft g t [ (h.(6), (leaf, lid leaf h.(6))) ] in
+  Alcotest.(check (list (pair int int)))
+    "children stay sorted"
+    [ (h.(6), lid leaf h.(6)); (h.(8), lid leaf h.(8)) ]
+    (Tree.children t' leaf);
+  Alcotest.check_raises "wrong link"
+    (Invalid_argument "Tree.graft: link does not run parent->node") (fun () ->
+      ignore (Tree.graft g t [ (h.(7), (leaf, lid leaf h.(6))) ]));
+  Alcotest.check_raises "parent outside the tree"
+    (Invalid_argument "Tree.graft: parent not in the tree") (fun () ->
+      let other = Fabric.attach_tor f h.(4) in
+      ignore (Tree.graft g t [ (h.(4), (other, lid other h.(4))) ]));
+  (* Cutting the only member below a ToR removes the ToR and the spine
+     above it; a kept ancestor stops the walk. *)
+  let cut = Tree.cut t h.(8) ~keep:(fun _ -> false) in
+  Alcotest.(check (list int)) "cut to the source rack"
+    (List.sort compare [ source; h.(2); Fabric.attach_tor f source ])
+    (Tree.members cut);
+  let kept = Tree.cut t h.(8) ~keep:(fun v -> v = leaf) in
+  Alcotest.(check bool) "kept ancestor stays" true (Tree.mem kept leaf);
+  Alcotest.(check int) "kept ancestor is a leaf" (Tree.leaf_count t) (Tree.leaf_count kept);
+  Alcotest.(check bool) "inner node is not cut" true
+    (Tree.cut t leaf ~keep:(fun _ -> false) == t)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "peel_steiner"
@@ -677,6 +881,7 @@ let () =
           Alcotest.test_case "rejects duplicate" `Quick test_tree_rejects_duplicate;
           Alcotest.test_case "validate down link" `Quick test_tree_validate_down_link;
           Alcotest.test_case "validate missing dest" `Quick test_tree_validate_missing_dest;
+          Alcotest.test_case "graft and cut" `Quick test_tree_graft_and_cut;
         ] );
       ( "exact",
         [
@@ -695,6 +900,9 @@ let () =
           Alcotest.test_case "cross-pod gpu" `Quick test_symmetric_cross_pod_gpu;
           Alcotest.test_case "source in dests" `Quick test_symmetric_source_in_dests_ignored;
           Alcotest.test_case "broadcast cost formula" `Quick test_symmetric_broadcast_cost_formula;
+          qt prop_bound_closed_form;
+          Alcotest.test_case "bound rejects non-endpoints" `Quick
+            test_bound_rejects_non_endpoint;
         ] );
       ( "layer_peel",
         [
@@ -714,5 +922,8 @@ let () =
           qt prop_repeel_valid_and_splice;
           qt prop_repeel_identity_without_failures;
           qt prop_splice_differential;
+          qt prop_splice_matches_reference;
+          Alcotest.test_case "splice dead branch is None" `Quick
+            test_splice_dead_branch_is_none;
         ] );
     ]
